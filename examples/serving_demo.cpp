@@ -7,9 +7,9 @@
 //
 // Five things in ~180 lines:
 //   1. concurrent clients submit single images and get futures back;
-//   2. the dynamic micro-batcher forms batches (size or deadline), a router
-//      hands them to --replicas replica sessions over the injected
-//      snn::InferenceBackend, and the per-request results are bit-identical
+//   2. the dynamic micro-batcher forms batches (size or deadline) and the
+//      --replicas replica sessions pop them directly, each when it is free,
+//      running them on the injected snn::InferenceBackend; and the per-request results are bit-identical
 //      to sequential inference on that backend whichever replica served them;
 //   3. cancellation and graceful drain, with the server's own stats line;
 //   4. overload: a bounded submit queue whose admission policy (reject vs

@@ -79,22 +79,34 @@ WireStats WireServer::stats() const {
 
 void WireServer::io_loop() {
   std::vector<epoll_event> events;
-  bool draining = false;
   std::chrono::steady_clock::time_point drain_deadline{};
   for (;;) {
-    if (!draining && stopping_.load(std::memory_order_acquire)) {
-      // Drain starts: no more accepts, no more reads. In-flight requests
-      // keep resolving and their responses keep flushing below.
-      draining = true;
+    if (!draining_ && stopping_.load(std::memory_order_acquire)) {
+      // Drain starts. One last accept and one last read of every connection
+      // answer whatever clients sent before stop(): complete frames already
+      // in a socket buffer get kShuttingDown (submit_request), so no client
+      // is reset with requests the server never answered. Then no more
+      // accepts, no more reads; in-flight requests keep resolving and their
+      // responses keep flushing below.
+      draining_ = true;
       drain_deadline = std::chrono::steady_clock::now() + opts_.drain_timeout;
+      handle_accept();
       loop_.del(listener_.get());
       listener_.reset();
-      for (auto& [key, conn] : conns_) {
-        conn->events &= ~static_cast<std::uint32_t>(EPOLLIN | EPOLLRDHUP);
-        update_interest(*conn);
+      std::vector<std::uint64_t> keys;
+      keys.reserve(conns_.size());
+      for (const auto& [key, conn] : conns_) keys.push_back(key);
+      for (const std::uint64_t key : keys) {
+        Conn& conn = *conns_.at(key);
+        // A read-paused connection is read once more too: its answers are a
+        // few bytes each, and the watermark still stops the read.
+        conn.reads_paused = false;
+        if (!read_until_blocked(conn)) continue;  // closed inside the read
+        conn.events &= ~static_cast<std::uint32_t>(EPOLLIN | EPOLLRDHUP);
+        update_interest(conn);
       }
     }
-    if (draining) {
+    if (draining_) {
       if (drained()) break;
       if (std::chrono::steady_clock::now() >= drain_deadline) {
         // Flush bound hit: give up on sockets still holding bytes, but keep
@@ -109,7 +121,7 @@ void WireServer::io_loop() {
     }
 
     int timeout_ms = 200;
-    if (draining) {
+    if (draining_) {
       timeout_ms = 10;
     } else if (opts_.idle_timeout.count() > 0) {
       timeout_ms = static_cast<int>(
@@ -121,7 +133,7 @@ void WireServer::io_loop() {
       const std::uint64_t key = ev.data.u64;
       if (key == kWakeKey) continue;  // completions drain below every round
       if (key == kListenKey) {
-        if (!draining) handle_accept();
+        if (!draining_) handle_accept();
         continue;
       }
       auto it = conns_.find(key);
@@ -139,7 +151,7 @@ void WireServer::io_loop() {
     }
 
     drain_completions();
-    if (!draining) sweep_idle(std::chrono::steady_clock::now());
+    if (!draining_) sweep_idle(std::chrono::steady_clock::now());
   }
   // Whatever is left (idle connections with nothing owed) closes now.
   std::vector<std::uint64_t> keys;
@@ -259,6 +271,14 @@ bool WireServer::submit_request(Conn& conn) {
   // ids into kRejected; the wire answer distinguishes them. A model unloaded
   // between this check and the submit still answers kRejected — that race is
   // inherent and harmless.
+  if (draining_) {
+    {
+      util::MutexLock lock{mu_};
+      ++stats_.responses;
+    }
+    return enqueue_frame(conn, encode_error(request_id, WireStatus::kShuttingDown,
+                                            "server is draining"));
+  }
   if (!server_.registry().contains(model)) {
     {
       util::MutexLock lock{mu_};

@@ -34,12 +34,15 @@
 // in-flight requests for WireOptions::idle_timeout are closed — a half-sent
 // frame (slow-loris) does not hold a slot forever.
 //
-// Shutdown: stop() closes the listener, stops reading every connection,
-// waits for every in-flight request to resolve and every outbox to flush
-// (bounded by drain_timeout for the socket flush; the in-flight wait is
-// unbounded because serve's own drain contract guarantees resolution), then
-// closes all sockets and joins the IO thread. In-flight responses are
-// delivered, half-parsed requests are dropped — the graceful-drain contract.
+// Shutdown: stop() accepts the connections still in the listen backlog,
+// reads every connection one last time — each complete frame found is
+// answered kShuttingDown — then closes the listener, stops reading, waits
+// for every in-flight request to resolve and every outbox to flush (bounded
+// by drain_timeout for the socket flush; the in-flight wait is unbounded
+// because serve's own drain contract guarantees resolution), then closes
+// all sockets and joins the IO thread. In-flight responses are delivered,
+// frames that arrived before stop() are answered, half-parsed requests are
+// dropped — the graceful-drain contract.
 //
 // Thread safety: stop() and stats() and port() are safe from any thread;
 // everything else happens on the internal IO thread. The SnnServer must
@@ -168,6 +171,7 @@ class WireServer {
 
   // IO-thread-only state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  bool draining_ = false;  // stop() seen: new frames answer kShuttingDown
   std::uint64_t next_key_ = 2;  // 1 = listener, kWakeKey reserved
 
   // Cross-thread state: completion queue fed by serve's scheduler threads.

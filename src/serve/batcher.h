@@ -1,7 +1,8 @@
 // Dynamic micro-batching queue: the request-forming half of SnnServer.
 //
 // Producers (any thread) push single-image requests; consumers (the server's
-// dispatcher thread) block in pop_batch() until a batch is ready. Requests
+// replica scheduler threads, each popping only when it is free to run the
+// batch) block in pop_batch() until a batch is ready. Requests
 // are keyed by model id and NEVER co-batch across models — the queue is a
 // set of per-model FIFO lanes, and every popped batch is uniform in model.
 // A lane's batch forms when either
@@ -121,12 +122,13 @@ class MicroBatcher {
   // to max_batch requests of that ONE model in FIFO order (among ready lanes,
   // the longest-waiting front wins). Returns an empty vector only when the
   // batcher is closed and fully drained. Safe for multiple concurrent
-  // consumers (each batch goes to exactly one).
+  // consumers: each request goes to exactly one batch, and after close()
+  // every consumer gets the empty batch once the lanes are dry.
   std::vector<PendingRequest> pop_batch();
 
-  // Removes the request with this id if it is still queued (i.e. its batch
-  // has not formed yet) and hands it back; nullopt when it was already popped
-  // or never existed.
+  // Removes the request with this id if it is still queued (i.e. no
+  // consumer has popped its batch yet) and hands it back; nullopt when it
+  // was already popped or never existed.
   std::optional<PendingRequest> cancel(std::uint64_t id);
 
   // Refuses further pushes (blocked ones wake with kClosed) and wakes the

@@ -65,14 +65,11 @@ SnnServer::SnnServer(ServeOptions opts)
       default_seed_{default_model_.empty() ? nullptr : registry_->acquire(default_model_)},
       bindings_(static_cast<std::size_t>(opts_.replicas)),
       batcher_{batcher_options(opts_)},
-      router_{static_cast<std::size_t>(opts_.replicas),
-              static_cast<std::size_t>(opts_.replicas)},
       stats_{static_cast<std::size_t>(opts_.replicas)} {
   schedulers_.reserve(static_cast<std::size_t>(opts_.replicas));
   for (std::size_t r = 0; r < static_cast<std::size_t>(opts_.replicas); ++r) {
     schedulers_.emplace_back([this, r] { replica_loop(r); });
   }
-  dispatcher_ = std::thread{[this] { dispatcher_loop(); }};
 }
 
 SnnServer::SnnServer(const snn::SnnNetwork& net, std::vector<std::int64_t> input_shape,
@@ -83,11 +80,9 @@ SnnServer::~SnnServer() { stop(); }
 
 void SnnServer::stop() {
   std::call_once(stopped_, [this] {
-    // Close the submit queue (waking kBlock submitters with kClosed); the
-    // dispatcher drains it into the router, closes the router, and exits;
-    // the replicas drain the router and exit.
+    // Close the batcher (waking kBlock submitters with kClosed); the
+    // replicas drain it and exit on its empty batch.
     batcher_.close();
-    if (dispatcher_.joinable()) dispatcher_.join();
     for (std::thread& t : schedulers_) {
       if (t.joinable()) t.join();
     }
@@ -207,29 +202,14 @@ bool SnnServer::cancel(std::uint64_t id) {
 }
 
 ServerStats SnnServer::stats() const {
-  std::vector<bool> busy(router_.replicas());
-  for (std::size_t r = 0; r < busy.size(); ++r) busy[r] = router_.busy(r);
-  return stats_.snapshot(batcher_.depth(), busy, batcher_.depth_by_model());
-}
-
-void SnnServer::dispatcher_loop() {
-  for (;;) {
-    std::vector<PendingRequest> batch = batcher_.pop_batch();
-    if (batch.empty()) {
-      // Closed and drained: staged batches still flow to the replicas, then
-      // each acquire() returns nullopt.
-      router_.close();
-      return;
-    }
-    router_.dispatch(std::move(batch));
-  }
+  return stats_.snapshot(batcher_.depth(), batcher_.depth_by_model());
 }
 
 void SnnServer::replica_loop(std::size_t r) {
   for (;;) {
-    std::optional<std::vector<PendingRequest>> batch = router_.acquire(r);
-    if (!batch.has_value()) return;  // router closed and drained
-    run_batch(r, std::move(*batch));
+    std::vector<PendingRequest> batch = batcher_.pop_batch();
+    if (batch.empty()) return;  // batcher closed and drained
+    run_batch(r, std::move(batch));
   }
 }
 
@@ -246,11 +226,13 @@ void SnnServer::run_batch(std::size_t r, std::vector<PendingRequest> batch) {
     run_segment(r, batch, begin, end);
     begin = end;
   }
+  stats_.on_batch_done(r);
 }
 
 void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, std::size_t begin,
                             std::size_t end) {
   const std::shared_ptr<const snn::ModelHandle>& handle = batch[begin].handle;
+  std::size_t resolved = begin;  // batch[begin, resolved) already delivered
   try {
     // Warm + pin first: for the pin's lifetime the pack is resident and
     // cannot be evicted, so the session construction and run below never
@@ -302,25 +284,23 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
       res.latency_seconds = latency;
       stats_.on_complete(r, batch[i].model_id, latency);
       deliver(batch[i], std::move(res));
+      resolved = i + 1;
     }
   } catch (...) {
-    // A backend failure poisons the whole segment; waiters see the exception
-    // instead of hanging. (Shape mismatches are caught at submit(), so this
-    // is defensive.) Callback consumers cannot rethrow through a future, so
-    // they get a kFailed result instead.
-    for (std::size_t i = begin; i < end; ++i) {
+    // A backend failure poisons the rest of the segment; waiters see the
+    // exception instead of hanging. (Shape mismatches are caught at
+    // submit(), so this is defensive.) Callback consumers cannot rethrow
+    // through a future, so they get a kFailed result instead.
+    for (std::size_t i = resolved; i < end; ++i) {
+      stats_.on_fail();
       if (batch[i].on_complete) {
         ServeResult res;
         res.status = RequestStatus::kFailed;
         res.model_id = batch[i].model_id;
         res.latency_seconds = seconds_since(batch[i].enqueued);
         batch[i].on_complete(std::move(res));
-        continue;
-      }
-      try {
+      } else {
         batch[i].promise.set_exception(std::current_exception());
-      } catch (const std::future_error&) {
-        // already satisfied before the throw — nothing to do
       }
     }
   }

@@ -14,15 +14,15 @@
 //        resolves, so a live swap drains in-flight work on the OLD pack)
 //     -> bounded submit queue + admission policy (Block / RejectWhenFull /
 //        ShedOldest: predictable degradation when arrival outruns compute)
-//     -> MicroBatcher forms per-model batches (flush on max_batch or
-//        max_delay; models NEVER co-batch) on the dispatcher thread
-//     -> ReplicaRouter hands each formed batch to a free replica (FIFO
-//        backlog when all are busy); any replica serves any model
-//     -> replica scheduler thread r: rebinds its cached per-model
-//        InferenceSession to the batch's handle if needed, pins the handle
-//        against pack eviction (ModelRegistry::pin_for_run), then
-//        InferenceSession::run — per-replica-per-model arenas, stateless
-//        shared backends
+//     -> per-model MicroBatcher lanes (models NEVER co-batch)
+//     -> replica scheduler thread r, whenever it is free, pops the next
+//        batch straight from the batcher (size or max_delay flush; the
+//        longest-waiting lane first) — any replica serves any model, and a
+//        busy replica never holds a batch it cannot start
+//     -> replica r rebinds its cached per-model InferenceSession to the
+//        batch's handle if needed, pins the handle against pack eviction
+//        (ModelRegistry::pin_for_run), then InferenceSession::run —
+//        per-replica-per-model arenas, stateless shared backends
 //     -> futures resolve with logits, predicted class, SnnRunStats, latency
 //
 // Single-model callers keep the original surface: the (net, input_shape,
@@ -37,13 +37,19 @@
 // eviction/rebuild is bit-identical; asserted in tests/serve_registry_test.cpp
 // against dedicated single-model servers for R in {1, 2, 4}).
 //
-// Lifecycle: stop() (or the destructor) closes the submit queue, *drains*
-// every pending request through normal batches across all replicas, then
-// joins the scheduler threads — no accepted request is ever dropped, and
-// requests holding a swapped-out handle still complete on it. Submissions
-// racing past stop() (including kBlock submitters parked on a full queue)
-// resolve with kRejected. cancel(id) removes a request only while it is
-// still queued; once its batch forms it completes normally.
+// Threads: exactly `replicas` scheduler threads, nothing else. The batcher
+// is the only hand-off between submitters and replicas, so a request stays
+// queued (and cancellable, and counted in the queue depth the admission
+// policy bounds) until a replica is free to start it.
+//
+// Lifecycle: stop() (or the destructor) closes the batcher, whose drain
+// keeps handing every pending request out in normal batches until the
+// replicas see the empty "closed and drained" batch and exit; stop() joins
+// them — no accepted request is ever dropped, and requests holding a
+// swapped-out handle still complete on it. Submissions racing past stop()
+// (including kBlock submitters parked on a full queue) resolve with
+// kRejected. cancel(id) removes a request only while it is still queued;
+// once a replica has popped its batch it completes normally.
 #pragma once
 
 #include <atomic>
@@ -60,7 +66,6 @@
 
 #include "serve/batcher.h"
 #include "serve/result.h"
-#include "serve/router.h"
 #include "serve/stats.h"
 #include "snn/engine.h"
 #include "snn/network.h"
@@ -108,8 +113,8 @@ struct ServeOptions {
 // Thread-safety summary: every public method is safe to call from any thread
 // while the server runs, unless its contract below says otherwise. The
 // internal discipline is annotated under the thread_annotations.h scheme —
-// StatsCollector/MicroBatcher/ReplicaRouter each own a util::Mutex; the
-// server itself holds no lock on the submit path beyond theirs.
+// StatsCollector and MicroBatcher each own a util::Mutex; the server itself
+// holds no lock beyond theirs.
 class SnnServer {
  public:
   // Multi-model server over opts.registry (required non-null). Models
@@ -159,13 +164,13 @@ class SnnServer {
                              std::function<void(ServeResult)> on_complete);
 
   // True iff the request was still queued: its future resolves kCancelled.
-  // False once its batch has formed — the result arrives normally.
+  // False once a replica has popped its batch — the result arrives normally.
   // [thread-safe]
   bool cancel(std::uint64_t id);
 
   // Stops accepting, drains everything pending through normal batches on all
-  // replicas, joins dispatcher + schedulers. Idempotent; the destructor
-  // calls it. [thread-safe; blocks until the drain completes]
+  // replicas, joins the replica schedulers. Idempotent; the destructor calls
+  // it. [thread-safe; blocks until the drain completes]
   void stop();
 
   // Consistent point-in-time snapshot (one lock acquisition; see
@@ -206,7 +211,6 @@ class SnnServer {
   // promise otherwise.
   static void deliver(PendingRequest& req, ServeResult result);
 
-  void dispatcher_loop();
   void replica_loop(std::size_t r);
   void run_batch(std::size_t r, std::vector<PendingRequest> batch);
   // Runs batch[begin, end) — a maximal run of requests sharing one handle —
@@ -227,10 +231,8 @@ class SnnServer {
   // arenas stay valid (the pack rebuild is bit-identical).
   std::vector<std::unordered_map<std::string, Bound>> bindings_;
   MicroBatcher batcher_;
-  ReplicaRouter router_;
   StatsCollector stats_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::thread dispatcher_;
   std::vector<std::thread> schedulers_;
   std::once_flag stopped_;
 };

@@ -12,8 +12,8 @@ std::string ServerStats::describe() const {
   os.precision(3);
   os << "served " << completed << "/" << submitted << " (" << cancelled << " cancelled, "
      << rejected << " rejected, " << rejected_overload << " overload-rejected, " << shed
-     << " shed) in " << batches_formed << " batches (mean " << mean_batch_size << ") on "
-     << replicas.size() << " replica" << (replicas.size() == 1 ? "" : "s") << " x "
+     << " shed, " << failed << " failed) in " << batches_formed << " batches (mean "
+     << mean_batch_size << ") on " << replicas.size() << " replica" << (replicas.size() == 1 ? "" : "s") << " x "
      << models.size() << " model" << (models.size() == 1 ? "" : "s") << ", p50 "
      << latency_p50_ms << "ms p95 " << latency_p95_ms << "ms";
   return os.str();
@@ -50,11 +50,23 @@ void StatsCollector::on_shed(const std::string& model) {
   ++models_[model].shed;
 }
 
+void StatsCollector::on_fail() {
+  const util::MutexLock lock{mu_};
+  ++failed_;
+}
+
 void StatsCollector::on_batch(std::size_t replica, const std::string& model) {
   const util::MutexLock lock{mu_};
   ++batches_;
-  ++replicas_.at(replica).batches;
+  ReplicaSlot& slot = replicas_.at(replica);
+  ++slot.batches;
+  slot.busy = true;
   ++models_[model].batches;
+}
+
+void StatsCollector::on_batch_done(std::size_t replica) {
+  const util::MutexLock lock{mu_};
+  replicas_.at(replica).busy = false;
 }
 
 void StatsCollector::on_complete(std::size_t replica, const std::string& model,
@@ -70,7 +82,7 @@ void StatsCollector::on_complete(std::size_t replica, const std::string& model,
   model_slot.latency.record(latency_seconds);
 }
 
-ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<bool>& busy,
+ServerStats StatsCollector::snapshot(std::size_t queue_depth,
                                      const std::map<std::string, std::size_t>& model_depths) const {
   const util::MutexLock lock{mu_};
   ServerStats s;
@@ -80,6 +92,7 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
   s.rejected = rejected_;
   s.rejected_overload = rejected_overload_;
   s.shed = shed_;
+  s.failed = failed_;
   s.batches_formed = batches_;
   s.queue_depth = queue_depth;
   s.mean_batch_size =
@@ -98,7 +111,7 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
                                                   static_cast<double>(slot.batches);
     out.latency_p50_ms = slot.latency.quantile(0.50) * 1e3;
     out.latency_p95_ms = slot.latency.quantile(0.95) * 1e3;
-    out.busy = r < busy.size() && busy[r];
+    out.busy = slot.busy;
   }
   // models_ is std::map, so the per-model breakdown comes out sorted by id.
   // A lane with queued-but-untouched traffic still shows up via model_depths.

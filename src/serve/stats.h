@@ -1,9 +1,9 @@
 // Serving-side observability: counters + latency distribution.
 //
 // StatsCollector is the thread-safe sink the server feeds from every thread
-// that touches a request (submitters, the dispatcher, the replica
-// schedulers); ServerStats is the consistent point-in-time snapshot handed
-// to callers. Latencies go through util/latency_histogram.h, so p50/p95 are
+// that touches a request (submitters, the replica schedulers, the stopping
+// thread); ServerStats is the consistent point-in-time snapshot handed to
+// callers. Latencies go through util/latency_histogram.h, so p50/p95 are
 // O(1) memory no matter how many requests have been served — one histogram
 // server-wide, one per replica (a slow or starved replica is visible on its
 // own), and one per model (a model whose traffic is being crowded out, or
@@ -54,6 +54,7 @@ struct ServerStats {
   std::uint64_t rejected = 0;           // refused: shutdown began or unknown model
   std::uint64_t rejected_overload = 0;  // refused: queue full (kRejectWhenFull)
   std::uint64_t shed = 0;               // evicted oldest-first (kShedOldest)
+  std::uint64_t failed = 0;             // resolved kFailed / exception (backend threw)
   std::uint64_t batches_formed = 0;     // pop_batch() flushes that ran
   std::size_t queue_depth = 0;          // pending at snapshot time (all models)
   double mean_batch_size = 0.0;         // completed / batches_formed
@@ -65,8 +66,8 @@ struct ServerStats {
                                         // sorted by id
 
   // One line for logs/demos, e.g.
-  // "served 96/96 (0 cancelled, 0 rejected, 0 overload-rejected, 0 shed) in
-  //  12 batches (mean 8.0) on 2 replicas x 3 models, p50 1.93ms p95 3.1ms".
+  // "served 96/96 (0 cancelled, 0 rejected, 0 overload-rejected, 0 shed,
+  //  0 failed) in 12 batches (mean 8.0) on 2 replicas x 3 models, p50 1.93ms p95 3.1ms".
   std::string describe() const;
 };
 
@@ -84,19 +85,21 @@ class StatsCollector {
   void on_reject();                          // refused: shutdown or unknown model
   void on_reject_overload();                 // refused: full queue (kRejectWhenFull)
   void on_shed(const std::string& model);    // evicted oldest-first (kShedOldest)
-  // A batch from `model`'s lane started on `replica`. [thread-safe]
+  void on_fail();                            // the backend threw while serving it
+  // A batch from `model`'s lane started on `replica`, which is busy until
+  // the matching on_batch_done(replica). [thread-safe]
   void on_batch(std::size_t replica, const std::string& model);
+  void on_batch_done(std::size_t replica);
   // One request served: feeds the global, per-replica and per-model latency
   // histograms with the enqueue->complete stamp. [thread-safe]
   void on_complete(std::size_t replica, const std::string& model, double latency_seconds);
 
-  // `queue_depth` comes from the batcher (total and per model lane) and
-  // `busy` flags from the router (they own the respective locks/flags).
-  // Takes mu_ exactly once for the whole snapshot, so every counter, replica
+  // `queue_depth` and `model_depths` come from the batcher, which owns the
+  // queue and its lock; everything else is the collector's own. Takes mu_ exactly once for the whole snapshot, so every counter, replica
   // slot, and model slot is read at the same instant — a request completing
   // concurrently either appears in ALL derived fields (completed, mean batch
   // size, latency quantiles) or in none of them, never torn across a few.
-  ServerStats snapshot(std::size_t queue_depth, const std::vector<bool>& busy,
+  ServerStats snapshot(std::size_t queue_depth,
                        const std::map<std::string, std::size_t>& model_depths) const
       TTFS_EXCLUDES(mu_);
 
@@ -104,6 +107,7 @@ class StatsCollector {
   struct ReplicaSlot {
     std::uint64_t batches = 0;
     std::uint64_t completed = 0;
+    bool busy = false;
     LatencyHistogram latency;
   };
   struct ModelSlot {
@@ -121,6 +125,7 @@ class StatsCollector {
   std::uint64_t rejected_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t rejected_overload_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t shed_ TTFS_GUARDED_BY(mu_) = 0;
+  std::uint64_t failed_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t batches_ TTFS_GUARDED_BY(mu_) = 0;
   LatencyHistogram latency_ TTFS_GUARDED_BY(mu_);
   std::vector<ReplicaSlot> replicas_ TTFS_GUARDED_BY(mu_);

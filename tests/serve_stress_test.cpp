@@ -1,5 +1,5 @@
 // Concurrency stress tests for SnnServer: many submitter threads race against
-// the batching dispatcher, the replica schedulers and the compute pool, and
+// the replica schedulers popping batches and the compute pool, and
 // every returned logit vector must still be bit-identical to a sequential
 // golden on the same input — batching composition, replica routing, arena
 // reuse and thread interleaving must never leak into results. Each backend is
@@ -55,6 +55,14 @@ std::vector<Tensor> make_images(Rng& rng, std::int64_t n) {
   return images;
 }
 
+// At quiescence every submitted request has ended in exactly one terminal
+// status, and the counters prove it.
+void expect_counters_balance(const ServerStats& s) {
+  EXPECT_EQ(s.submitted,
+            s.completed + s.cancelled + s.rejected + s.rejected_overload + s.shed + s.failed)
+      << s.describe();
+}
+
 void expect_rows_equal(const Tensor& got, const float* want, std::int64_t classes,
                        std::int64_t request) {
   ASSERT_EQ(got.numel(), classes) << "request " << request;
@@ -63,9 +71,8 @@ void expect_rows_equal(const Tensor& got, const float* want, std::int64_t classe
   }
 }
 
-// N threads hammer submit() while the dispatcher forms whatever batch mix the
-// interleaving produces and `replicas` scheduler threads race for the formed
-// batches; each future's logits must equal the sequential golden of its own
+// N threads hammer submit() while `replicas` scheduler threads race to pop
+// whatever batch mix the interleaving produces; each future's logits must equal the sequential golden of its own
 // input bit for bit, whichever replica served it.
 void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
   Rng rng{101};
@@ -135,6 +142,7 @@ void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
   }
   EXPECT_EQ(replica_batches, stats.batches_formed);
   EXPECT_EQ(replica_completed, stats.completed);
+  expect_counters_balance(stats);
 }
 
 TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR1) {
@@ -161,9 +169,10 @@ TEST(ServeStress, GemmBitIdenticalToSequentialClassifyGoldenR4) {
   stress_backend(snn::BackendKind::kGemm, 4);
 }
 
-// Cancellations race batch formation from every submitter thread; whatever
-// the interleaving, cancel() returning true must mean kCancelled and false
-// must mean the request was served with correct logits.
+// Cancellations race the replicas' pops from every submitter thread (a
+// request stays cancellable until a replica takes its batch); whatever the
+// interleaving, cancel() returning true must mean kCancelled and false must
+// mean the request was served with correct logits.
 void cancellation_churn(std::int64_t replicas) {
   Rng rng{303};
   const snn::SnnNetwork net = make_net(rng);
@@ -216,6 +225,7 @@ void cancellation_churn(std::int64_t replicas) {
   EXPECT_EQ(stats.cancelled, cancelled);
   EXPECT_EQ(stats.completed + stats.cancelled, static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(stats.rejected, 0U);
+  expect_counters_balance(stats);
 }
 
 TEST(ServeStress, CancellationChurnStaysConsistent) { cancellation_churn(1); }
@@ -271,6 +281,7 @@ TEST(ServeStress, BlockAdmissionUnderConcurrentOverload) {
   EXPECT_EQ(stats.rejected, 0U);
   EXPECT_EQ(stats.rejected_overload, 0U);
   EXPECT_EQ(stats.shed, 0U);
+  expect_counters_balance(stats);
 }
 
 // StatsCollector::snapshot takes the stats mutex exactly once for the whole
@@ -294,6 +305,7 @@ TEST(ServeStress, StatsSnapshotIsCoherentUnderConcurrentWrites) {
       stats.on_submit(model);
       stats.on_batch(replica, model);
       for (int c = 0; c < 3; ++c) stats.on_complete(replica, model, 1e-3);
+      stats.on_batch_done(replica);
     }
     done.store(true, std::memory_order_release);
   }};
@@ -301,7 +313,7 @@ TEST(ServeStress, StatsSnapshotIsCoherentUnderConcurrentWrites) {
   // do-while: at least one snapshot races the writer even if the scheduler
   // runs the writer to completion first (single-core CI).
   do {
-    const ServerStats s = stats.snapshot(0, {false, false}, {});
+    const ServerStats s = stats.snapshot(0, {});
     // Each on_complete updates the global, replica, and model counters under
     // one lock; a coherent snapshot must therefore show them in agreement.
     std::uint64_t replica_completed = 0, replica_batches = 0;
@@ -328,7 +340,7 @@ TEST(ServeStress, StatsSnapshotIsCoherentUnderConcurrentWrites) {
   } while (!done.load(std::memory_order_acquire));
   writer.join();
 
-  const ServerStats s = stats.snapshot(0, {false, false}, {});
+  const ServerStats s = stats.snapshot(0, {});
   EXPECT_EQ(s.submitted, 20000U);
   EXPECT_EQ(s.batches_formed, 20000U);
   EXPECT_EQ(s.completed, 60000U);
@@ -336,6 +348,7 @@ TEST(ServeStress, StatsSnapshotIsCoherentUnderConcurrentWrites) {
   EXPECT_EQ(s.models[0].id, "a");
   EXPECT_EQ(s.models[1].id, "b");
   EXPECT_EQ(s.models[0].completed + s.models[1].completed, 60000U);
+  for (const ReplicaStats& r : s.replicas) EXPECT_FALSE(r.busy);  // every batch ended
 }
 
 }  // namespace

@@ -10,12 +10,12 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/batcher.h"
-#include "serve/router.h"
 #include "serve/server.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
@@ -156,67 +156,56 @@ TEST(MicroBatcher, CloseDrainsInSizeCappedBatchesThenEmpty) {
   EXPECT_TRUE(batcher.pop_batch().empty());  // and stays that way
 }
 
-// --- ReplicaRouter ---
+// The server's replica threads pop straight from the batcher, so its drain
+// contract is the batcher's own under concurrent consumers: two threads race
+// in pop_batch() over one lane of 3*max_batch+1 requests, the last of which
+// only leaves on close(). Every request comes out exactly once, in batches
+// of at most max_batch, and BOTH consumers get the empty drain signal.
+TEST(MicroBatcher, ConcurrentConsumersDrainEveryRequestOnce) {
+  constexpr std::int64_t kMaxBatch = 4;
+  constexpr std::uint64_t kRequests = 3 * kMaxBatch + 1;
+  MicroBatcher batcher{{kMaxBatch, microseconds{60'000'000}}};  // size or close only
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    auto req = make_request(id);
+    ASSERT_EQ(batcher.push(req), PushOutcome::kQueued);
+  }
+  std::vector<std::vector<std::uint64_t>> popped[2];
+  std::vector<std::thread> consumers;
+  for (auto& mine : popped) {
+    consumers.emplace_back([&batcher, &mine] {
+      for (;;) {
+        const std::vector<PendingRequest> batch = batcher.pop_batch();
+        if (batch.empty()) return;  // the drain signal
+        std::vector<std::uint64_t> ids;
+        for (const PendingRequest& req : batch) ids.push_back(req.id);
+        mine.push_back(std::move(ids));
+      }
+    });
+  }
+  // The three full batches leave on the size trigger; the lone remainder
+  // waits for close().
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (batcher.depth() > 1 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(milliseconds{1});
+  }
+  EXPECT_EQ(batcher.depth(), 1U);
+  batcher.close();
+  for (std::thread& t : consumers) t.join();  // returns only on the empty batch
 
-std::vector<PendingRequest> one_request_batch(std::uint64_t id) {
-  std::vector<PendingRequest> batch;
-  batch.push_back(make_request(id));
-  return batch;
-}
-
-TEST(ReplicaRouter, HandsBatchesToAcquirersFifo) {
-  ReplicaRouter router{2, 2};
-  ASSERT_TRUE(router.dispatch(one_request_batch(1)));
-  ASSERT_TRUE(router.dispatch(one_request_batch(2)));
-  EXPECT_EQ(router.staged(), 2U);
-  auto first = router.acquire(0);
-  auto second = router.acquire(1);
-  ASSERT_TRUE(first.has_value() && second.has_value());
-  EXPECT_EQ(first->front().id, 1U);   // FIFO across the hand-off
-  EXPECT_EQ(second->front().id, 2U);
-  EXPECT_TRUE(router.busy(0));
-  EXPECT_TRUE(router.busy(1));
-  EXPECT_EQ(router.busy_count(), 2U);
-  router.close();
-  EXPECT_FALSE(router.acquire(0).has_value());  // drained: shutdown signal
-  EXPECT_FALSE(router.busy(0));                 // acquiring clears busy first
-  // Promises were never served in this unit test; resolve them so the
-  // futures (none taken) don't report broken promises on destruction.
-  first->front().promise.set_value(ServeResult{});
-  second->front().promise.set_value(ServeResult{});
-}
-
-TEST(ReplicaRouter, CloseDrainsStagedBatchesBeforeShutdownSignal) {
-  ReplicaRouter router{1, 4};
-  ASSERT_TRUE(router.dispatch(one_request_batch(7)));
-  router.close();
-  EXPECT_FALSE(router.dispatch(one_request_batch(8)));  // refused after close
-  auto staged = router.acquire(0);
-  ASSERT_TRUE(staged.has_value());  // accepted work still flows out
-  EXPECT_EQ(staged->front().id, 7U);
-  EXPECT_FALSE(router.acquire(0).has_value());
-  staged->front().promise.set_value(ServeResult{});
-}
-
-TEST(ReplicaRouter, FullHandOffBlocksDispatcherUntilAcquire) {
-  ReplicaRouter router{1, 1};
-  ASSERT_TRUE(router.dispatch(one_request_batch(1)));
-  std::atomic<bool> dispatched{false};
-  std::thread dispatcher{[&] {
-    ASSERT_TRUE(router.dispatch(one_request_batch(2)));  // parks: hand-off full
-    dispatched.store(true);
-  }};
-  std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  EXPECT_FALSE(dispatched.load());  // still parked
-  auto batch = router.acquire(0);   // frees the slot
-  ASSERT_TRUE(batch.has_value());
-  dispatcher.join();
-  EXPECT_TRUE(dispatched.load());
-  auto second = router.acquire(0);
-  ASSERT_TRUE(second.has_value());
-  router.close();
-  batch->front().promise.set_value(ServeResult{});
-  second->front().promise.set_value(ServeResult{});
+  std::vector<int> seen(kRequests + 1, 0);
+  for (const auto& mine : popped) {
+    for (const auto& ids : mine) {
+      EXPECT_GE(ids.size(), 1U);
+      EXPECT_LE(ids.size(), static_cast<std::size_t>(kMaxBatch));
+      for (const std::uint64_t id : ids) {
+        ASSERT_GE(id, 1U);
+        ASSERT_LE(id, kRequests);
+        ++seen[id];
+      }
+    }
+  }
+  for (std::uint64_t id = 1; id <= kRequests; ++id) EXPECT_EQ(seen[id], 1) << "request " << id;
+  EXPECT_TRUE(batcher.pop_batch().empty());  // and stays drained
 }
 
 // --- SnnServer ---
@@ -311,11 +300,14 @@ TEST(SnnServer, ReplicaShardedServesBitIdentical) {
 }
 
 // A caller-defined backend: decorates the stock event simulator with a
-// per-sample call counter. Proves ServeOptions::backend is genuine
-// polymorphic injection — the server runs whatever realization it is handed,
-// with results identical to the wrapped backend's own.
+// per-sample call counter, and optionally throws from every sample instead.
+// Proves ServeOptions::backend is genuine polymorphic injection — the server
+// runs whatever realization it is handed, with results identical to the
+// wrapped backend's own — and that a backend failure resolves every request
+// once and is counted.
 class CountingBackend final : public snn::InferenceBackend {
  public:
+  explicit CountingBackend(bool throws) : throws_{throws} {}
   std::string name() const override { return "counting"; }
   bool supports_traces() const override { return inner_->supports_traces(); }
   bool uses_arena() const override { return inner_->uses_arena(); }
@@ -323,22 +315,24 @@ class CountingBackend final : public snn::InferenceBackend {
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
                   snn::SimArena& arena, const snn::SampleSlots& slots) const override {
     samples_run_.fetch_add(1, std::memory_order_relaxed);
+    if (throws_) throw std::runtime_error("injected backend failure");
     inner_->run_sample(net, batch, i, arena, slots);
   }
   std::int64_t samples_run() const { return samples_run_.load(std::memory_order_relaxed); }
 
  private:
+  const bool throws_;
   std::shared_ptr<const snn::InferenceBackend> inner_ =
       snn::make_backend(snn::BackendKind::kEventSim);
   mutable std::atomic<std::int64_t> samples_run_{0};
 };
 
-TEST(SnnServer, InjectedCustomBackendServesRequests) {
+void serve_with_injected_backend(bool throws) {
   Rng rng{37};
   const snn::SnnNetwork net = make_net(rng);
   const auto images = make_images(rng, 5);
 
-  auto counting = std::make_shared<const CountingBackend>();
+  auto counting = std::make_shared<const CountingBackend>(throws);
   ServeOptions opts;
   opts.max_batch = 2;
   opts.max_delay = microseconds{500};
@@ -347,6 +341,17 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
   EXPECT_EQ(server.backend().name(), "counting");
 
   for (std::size_t i = 0; i < images.size(); ++i) {
+    if (throws) {
+      // Future consumers see the backend's exception; callback consumers
+      // get kFailed. Either way the request resolves exactly once.
+      auto sub = server.submit(images[i]);
+      EXPECT_THROW(sub.result.get(), std::runtime_error) << "request " << i;
+      std::promise<ServeResult> done;
+      server.submit_async(server.default_model(), images[i],
+                          [&done](ServeResult r) { done.set_value(std::move(r)); });
+      EXPECT_EQ(done.get_future().get().status, RequestStatus::kFailed) << "request " << i;
+      continue;
+    }
     auto sub = server.submit(images[i]);
     ServeResult r = sub.result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
@@ -356,7 +361,20 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
                       "request " + std::to_string(i));
   }
   server.stop();
-  EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(images.size()));
+  const std::uint64_t requests = images.size() * (throws ? 2 : 1);
+  EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(requests));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, requests);
+  EXPECT_EQ(stats.completed, throws ? 0U : requests);
+  EXPECT_EQ(stats.failed, throws ? requests : 0U);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled + stats.rejected +
+                                 stats.rejected_overload + stats.shed + stats.failed);
+}
+
+TEST(SnnServer, InjectedCustomBackendServesRequests) { serve_with_injected_backend(false); }
+
+TEST(SnnServer, InjectedThrowingBackendFailsEachRequestOnce) {
+  serve_with_injected_backend(true);
 }
 
 TEST(SnnServer, FifoCompletionWithinBatch) {

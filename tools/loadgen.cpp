@@ -41,8 +41,9 @@
 // run should not land in the gated baseline.
 //
 // Exit status: nonzero when nothing completed, when any connection died
-// mid-run, or when --max-seconds (default 600) expired with requests
-// outstanding.
+// mid-run, when --max-seconds (default 600) expired with requests
+// outstanding, or when any response carried a duplicate or unknown request
+// id (counted as "stray responses").
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -400,7 +401,11 @@ struct RunReport {
   OutcomeStats all;
   std::vector<OutcomeStats> per_model;  // parallel to trace.models
   double wall_seconds = 0.0;
-  bool clean = true;  // no connection died, no deadline hit
+  // Responses whose id was not in flight on their connection: a duplicate
+  // answer, or an id never sent. Either breaks "exactly one answer per
+  // request", so any makes the run unclean.
+  std::uint64_t stray = 0;
+  bool clean = true;  // no connection died, no deadline hit, no stray answer
 };
 
 class LoadEngine {
@@ -564,7 +569,12 @@ class LoadEngine {
 
   void record(ClientConn& conn, const net::WireResponse& resp) {
     const auto it = conn.inflight.find(resp.request_id);
-    if (it == conn.inflight.end()) return;  // pong or duplicate — not counted
+    if (it == conn.inflight.end()) {
+      // loadgen sends no pings, so every response must match an id in flight.
+      ++report_.stray;
+      report_.clean = false;
+      return;
+    }
     const PendingReq req = it->second;
     conn.inflight.erase(it);
     ++received_;
@@ -779,7 +789,11 @@ int main(int argc, char** argv) {
     std::cout << "wall " << Table::num(report.wall_seconds, 2) << "s, offered "
               << Table::num(static_cast<double>(trace.t.size()) / report.wall_seconds, 1)
               << " req/s attempted, completed " << report.all.ok << "/" << trace.t.size()
-              << "\n";
+              << ", stray responses " << report.stray << "\n";
+    if (report.stray > 0) {
+      std::cerr << "loadgen: " << report.stray
+                << " response(s) with a duplicate or unknown request id\n";
+    }
     if (args.get_flag("json")) {
       const std::string path = "BENCH_" + table.title() + ".json";
       table.save_json(path);

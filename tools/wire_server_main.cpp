@@ -135,6 +135,6 @@ int main(int argc, char** argv) {
             << ws.idle_closed << " idle-closed, " << ws.read_pauses << " read pauses, "
             << ws.bytes_in << "B in / " << ws.bytes_out << "B out\n"
             << "serve: " << ss.completed << " completed, " << ss.rejected << " rejected, "
-            << ss.shed << " shed, mean batch " << ss.mean_batch_size << "\n";
+            << ss.shed << " shed, " << ss.failed << " failed, mean batch " << ss.mean_batch_size << "\n";
   return 0;
 }
